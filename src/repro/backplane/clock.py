@@ -1,9 +1,11 @@
 """Wall-clock timers and streaming traces for the backplane.
 
-:class:`WallClock` exposes the subset of the simulation engine's surface
-the shared effect executor needs — a ``now`` property and
-``schedule(delay, callback)`` returning a cancellable handle — backed by
-the asyncio event loop.  ``now`` reads the *system* clock (``time.time``):
+:class:`WallClock` is the serve-side Clock of the shared
+:class:`~repro.runtime.harness.ProcessHost` — the subset of the
+simulation engine's surface a host needs: a ``now`` property,
+``schedule(delay, callback)`` returning a cancellable handle, and
+``defer(callback)`` for the same-tick notification drain — backed by the
+asyncio event loop.  ``now`` reads the *system* clock (``time.time``):
 all workers run on one host, so their trace timestamps share a clock and
 post-hoc certification can order events globally without a logical-clock
 protocol.
@@ -30,13 +32,14 @@ from repro.sim.trace import Tracer
 
 
 class WallClock:
-    """Engine-compatible ``now``/``schedule`` over the asyncio loop."""
+    """Engine-compatible ``now``/``schedule``/``defer`` over the asyncio loop."""
 
     def __init__(self, loop: asyncio.AbstractEventLoop, timescale: float = 1.0):
         if timescale <= 0:
             raise ValueError(f"timescale must be positive, got {timescale}")
         self.loop = loop
         self.timescale = timescale
+        self._stopped = False
 
     @property
     def now(self) -> float:
@@ -47,7 +50,24 @@ class WallClock:
                  label: Optional[str] = None) -> asyncio.TimerHandle:
         """Run ``callback`` after ``delay`` *virtual units*; the returned
         handle has ``.cancel()``, matching the engine's EventHandle."""
-        return self.loop.call_later(max(0.0, delay) * self.timescale, callback)
+        return self.loop.call_later(max(0.0, delay) * self.timescale,
+                                    self._unless_stopped, callback)
+
+    def defer(self, callback: Callable[[], None],
+              label: Optional[str] = None,
+              shard: Optional[int] = None) -> asyncio.Handle:
+        """Run ``callback`` once the frames already read this loop turn
+        are dispatched (the engine's same-tick drain)."""
+        return self.loop.call_soon(self._unless_stopped, callback)
+
+    def stop(self) -> None:
+        """No pending callback runs after this (a worker shutting down
+        must not flush into a closed journal)."""
+        self._stopped = True
+
+    def _unless_stopped(self, callback: Callable[[], None]) -> None:
+        if not self._stopped:
+            callback()
 
 
 class JsonlTracer(Tracer):

@@ -59,7 +59,7 @@ class ServePlan:
     crashes: List[Tuple[float, int]] = field(default_factory=list)
     restart_delay: float = 50.0
     run_dir: Optional[str] = None
-    #: Worker-side protocol config overrides (see worker.config_from_manifest).
+    #: Worker-side ``SimConfig`` fields (see worker.config_from_manifest).
     config: Dict[str, Any] = field(default_factory=dict)
     #: Built-in load arrival shape: ``"uniform"`` or ``"openloop"``.
     profile: str = "uniform"

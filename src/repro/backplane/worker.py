@@ -1,21 +1,26 @@
 """One recovery unit as a real OS process (``repro serve-worker``).
 
-Spawned by the coordinator, a worker:
+Spawned by the coordinator, a worker runs the same
+:class:`~repro.runtime.harness.ProcessHost` as the simulation — incoming
+dispatch, notification batching, notification fanout, the adaptive-K
+controller, fail-stop on storage death and the periodic flush /
+checkpoint / notify / control activities all live there — over two serve
+seams:
 
-- builds one :class:`~repro.core.protocol.KOptimisticProcess` over a
-  durable file-log journal under the run directory (so a SIGKILL loses
-  exactly what the paper's fail-stop model says it loses);
-- connects to the coordinator and exchanges length-prefixed JSON frames
-  (the star topology routes every message through the coordinator);
-- drives the protocol through the *same*
-  :class:`~repro.runtime.executor.EffectExecutor` the simulation uses,
-  with wall-clock timers and ``dep.*`` tracing enabled;
-- runs the periodic flush / checkpoint / notify activities on asyncio
-  timers scaled by the run's ``timescale``.
+- a :class:`~repro.backplane.clock.WallClock` (asyncio timers scaled by
+  the run's ``timescale``);
+- a :class:`CoordinatorTransport` that turns every send into a
+  length-prefixed JSON frame to the coordinator (the star topology routes
+  every message through it).
 
-On respawn after a crash the journal directory is non-empty; the worker
-then boots via :meth:`KOptimisticProcess.boot_after_crash` (REDO-only
-recovery plus the Restart broadcast) instead of :meth:`initialize`.
+This module adds only framing, decoding and the ``status``/``shutdown``
+commands.  The protocol is a
+:class:`~repro.core.protocol.KOptimisticProcess` over a durable file-log
+journal under the run directory (so a SIGKILL loses exactly what the
+paper's fail-stop model says it loses), with ``dep.*`` tracing on.  On
+respawn after a crash the journal directory is non-empty; the worker then
+boots via :meth:`KOptimisticProcess.boot_after_crash` (REDO-only recovery
+plus the Restart broadcast) instead of :meth:`initialize`.
 """
 
 from __future__ import annotations
@@ -30,24 +35,26 @@ from repro.app.hopchain import HopChainBehavior
 from repro.backplane.clock import JsonlTracer, WallClock
 from repro.backplane.codec import decode_app, decode_control, encode_app, encode_control
 from repro.backplane.framing import FramingError, read_frame, write_frame
-from repro.core.depvec import DependencyVector
-from repro.net.message import (
-    AppAck,
-    AppMessage,
-    FailureAnnouncement,
-    LoggingRequest,
-    LogProgressNotification,
-)
-from repro.runtime.config import SimConfig
-from repro.runtime.executor import EffectExecutor
-from repro.runtime.harness import protocol_factory_for
 from repro.core.protocol import KOptimisticProcess
-from repro.types import MessageId
+from repro.net.message import AppMessage
+from repro.runtime.config import SimConfig
+from repro.runtime.harness import ProcessHost, protocol_factory_for
+from repro.sim.rng import RngRegistry
 
 #: Behaviours a serve run can name in its manifest.
 BEHAVIORS = {
     "echo": EchoBehavior,
     "hopchain": HopChainBehavior,
+}
+
+#: Serve's defaults under the manifest's ``config``: at-least-once
+#: delivery across worker crashes — app-level acks with timer
+#: retransmission, plus the footnote-3 sent-log replayed to a restarted
+#: destination.
+SERVE_DEFAULTS: Dict[str, Any] = {
+    "retransmit_timeout": 8.0,
+    "retransmit_budget": 12,
+    "retransmit_window": 64,
 }
 
 
@@ -57,32 +64,33 @@ def load_manifest(run_dir: str) -> Dict[str, Any]:
 
 
 def config_from_manifest(manifest: Dict[str, Any], run_dir: str) -> SimConfig:
-    """The worker-side protocol configuration for a serve run."""
-    overrides = manifest.get("config", {})
-    return SimConfig(
-        n=manifest["n"],
-        k=manifest.get("k"),
-        seed=manifest.get("seed", 0),
-        storage_backend="filelog",
-        storage_dir=os.path.join(run_dir, "storage"),
-        # At-least-once delivery across worker crashes: app-level acks with
-        # timer retransmission, plus the footnote-3 sent-log replayed to a
-        # restarted destination.
-        retransmit_timeout=overrides.get("retransmit_timeout", 8.0),
-        retransmit_backoff=overrides.get("retransmit_backoff", 2.0),
-        retransmit_budget=overrides.get("retransmit_budget", 12),
-        retransmit_window=overrides.get("retransmit_window", 64),
-        flush_interval=overrides.get("flush_interval", 40.0),
-        checkpoint_interval=overrides.get("checkpoint_interval", 160.0),
-        notify_interval=overrides.get("notify_interval", 20.0),
-        trace_enabled=True,
-        check_invariants=False,  # certification is post-hoc via the oracle
-        dep_trace=True,
-    )
+    """The worker-side protocol configuration for a serve run.
+
+    The manifest's ``config`` dict holds plain :class:`SimConfig` fields
+    (over :data:`SERVE_DEFAULTS`); serve's own fields are forced on top:
+    the file-log journal under the run directory, streamed ``dep.*``
+    traces, acks on, and no inline checks (certification is post-hoc).
+    An unknown field raises instead of being dropped.
+    """
+    config = SimConfig(**{
+        **SERVE_DEFAULTS,
+        **manifest.get("config", {}),
+        "n": manifest["n"],
+        "k": manifest.get("k"),
+        "seed": manifest.get("seed", 0),
+        "storage_backend": "filelog",
+        "storage_dir": os.path.join(run_dir, "storage"),
+        "trace_enabled": True,
+        "dep_trace": True,
+        "ack_layer": True,
+        "check_invariants": False,
+    })
+    config.validate()
+    return config
 
 
 class CoordinatorTransport:
-    """The executor's transport: every send becomes a routed frame."""
+    """The host's transport: every send becomes a routed frame."""
 
     def __init__(self, writer: asyncio.StreamWriter):
         self.writer = writer
@@ -105,9 +113,15 @@ class CoordinatorTransport:
         write_frame(self.writer, {"t": "ctl", "src": src, "dst": -1,
                                   "body": encode_control(payload)})
 
+    def on_process_crash(self, pid: int) -> None:
+        """An in-process fail-stop (storage death) queues nothing here."""
+
+    def on_process_restart(self, pid: int) -> None:
+        """Nothing was held back at the crash, so nothing resumes."""
+
 
 class Worker:
-    """Protocol instance + transport + timers for one OS process."""
+    """A :class:`ProcessHost` plus framing for one OS process."""
 
     def __init__(self, pid: int, run_dir: str):
         self.pid = pid
@@ -115,20 +129,16 @@ class Worker:
         self.manifest = load_manifest(run_dir)
         self.n = int(self.manifest["n"])
         self.config = config_from_manifest(self.manifest, run_dir)
-        self.clock: Optional[WallClock] = None
         self.tracer = JsonlTracer(
             os.path.join(run_dir, "trace", f"p{pid:03d}.jsonl"))
-        self.protocol: Optional[KOptimisticProcess] = None
-        self.executor: Optional[EffectExecutor] = None
+        self.host: Optional[ProcessHost] = None
         self._shutdown = asyncio.Event()
-        #: Latest live handle per periodic activity (old ones have fired).
-        self._timers: Dict[str, asyncio.TimerHandle] = {}
 
     # -- lifecycle -----------------------------------------------------------
 
     async def run(self) -> int:
         loop = asyncio.get_running_loop()
-        self.clock = WallClock(loop, float(self.manifest["timescale"]))
+        clock = WallClock(loop, float(self.manifest["timescale"]))
         # Respawn detection must precede backend construction (building the
         # file-log backend creates the directory).
         journal = os.path.join(self.run_dir, "storage", f"p{self.pid:03d}")
@@ -136,33 +146,27 @@ class Worker:
 
         behavior = BEHAVIORS[self.manifest.get("behavior", "hopchain")]()
         factory = protocol_factory_for(KOptimisticProcess)
-        self.protocol = factory(self.pid, self.config, behavior,
-                                lambda: self.clock.now)
+        protocol = factory(self.pid, self.config, behavior, lambda: clock.now)
 
         reader, writer = await asyncio.open_connection(
             "127.0.0.1", int(self.manifest["port"]))
-        transport = CoordinatorTransport(writer)
-        self.executor = EffectExecutor(
-            self.pid,
-            transport=transport,
-            schedule=self.clock.schedule,
-            now_fn=lambda: self.clock.now,
-            tracer=self.tracer,
-            on_retransmit=self._retransmit_timer,
-            dep_trace=True,
+        host = self.host = ProcessHost(
+            self.pid, protocol, self.config,
+            clock=clock, transport=CoordinatorTransport(writer),
+            tracer=self.tracer, rngs=RngRegistry(self.config.seed),
         )
         write_frame(writer, {"t": "hello", "pid": self.pid,
                              "recovered": recovering})
         await writer.drain()
 
         if recovering:
-            effects = self.protocol.boot_after_crash()
-            self.tracer.record(self.clock.now, "worker.respawn", self.pid)
+            effects = protocol.boot_after_crash()
+            self.tracer.record(clock.now, "worker.respawn", self.pid)
         else:
-            effects = self.protocol.initialize()
-            self.tracer.record(self.clock.now, "worker.start", self.pid)
-        self.executor.execute(effects)
-        self._start_timers()
+            effects = protocol.initialize()
+            self.tracer.record(clock.now, "worker.start", self.pid)
+        host.execute(effects)
+        host.start_timers()
 
         try:
             while not self._shutdown.is_set():
@@ -174,103 +178,35 @@ class Worker:
         except (FramingError, ConnectionError):
             return 1
         finally:
-            for handle in self._timers.values():
-                handle.cancel()
-            self.protocol.storage.close()
+            clock.stop()
+            protocol.storage.close()
             self.tracer.close()
             writer.close()
         return 0
-
-    # -- periodic activities ---------------------------------------------------
-
-    def _start_timers(self) -> None:
-        self._periodic("flush", self.config.flush_interval, self._flush)
-        self._periodic("checkpoint", self.config.checkpoint_interval,
-                       self._checkpoint)
-        self._periodic("notify", self.config.notify_interval, self._notify)
-
-    def _periodic(self, name: str, interval_units: float, action) -> None:
-        def fire() -> None:
-            if self._shutdown.is_set():
-                return
-            action()
-            self._timers[name] = self.clock.schedule(interval_units, fire)
-
-        # Phase-staggered like the simulation, so N workers do not flush in
-        # lockstep.
-        first = interval_units * (self.pid + 1) / (self.n + 1)
-        self._timers[name] = self.clock.schedule(first, fire)
-
-    def _flush(self) -> None:
-        self.executor.execute(self.protocol.flush())
-
-    def _checkpoint(self) -> None:
-        self.executor.execute(self.protocol.checkpoint())
-
-    def _notify(self) -> None:
-        notif = self.protocol.make_log_notification(own_only=False)
-        self.executor.transport.broadcast_control(self.pid, notif)
-
-    def _retransmit_timer(self, msg_id: MessageId) -> None:
-        self.executor.execute(self.protocol.on_retransmit_timer(msg_id))
 
     # -- frame dispatch --------------------------------------------------------
 
     def _dispatch(self, frame: Dict[str, Any], writer) -> None:
         t = frame.get("t")
         if t == "app":
-            msg = decode_app(self.n, frame["msg"])
-            effects = self.protocol.on_receive(msg)
-            if msg.src >= 0:
-                # The live transport endpoint acks on arrival; a dead one
-                # acks nothing, which keeps the sender's timer retrying.
-                self.executor.transport.send_control(
-                    self.pid, msg.src,
-                    AppAck(msg.msg_id, self.pid, msg.src))
-            self.executor.execute(effects)
-            return
-        if t == "ctl":
-            payload = decode_control(frame["body"])
-            if isinstance(payload, FailureAnnouncement):
-                self.tracer.record(self.clock.now, "ann.receive", self.pid,
-                                   ann=str(payload))
-                effects = self.protocol.on_failure_announcement(payload)
-            elif isinstance(payload, LogProgressNotification):
-                effects = self.protocol.on_log_notification(payload)
-            elif isinstance(payload, LoggingRequest):
-                effects = self.protocol.on_logging_request(payload)
-            elif isinstance(payload, AppAck):
-                effects = self.protocol.on_ack(payload)
-            else:  # pragma: no cover - decode_control is exhaustive
-                raise FramingError(f"unroutable control payload {payload!r}")
-            self.executor.execute(effects)
-            return
-        if t == "cmd":
+            self.host.incoming(decode_app(self.n, frame["msg"]))
+        elif t == "ctl":
+            self.host.incoming(decode_control(frame["body"]))
+        elif t == "cmd":
             self._command(frame, writer)
-            return
-        raise FramingError(f"unknown frame type {t!r}")
+        else:
+            raise FramingError(f"unknown frame type {t!r}")
 
     def _command(self, frame: Dict[str, Any], writer) -> None:
         op = frame.get("op")
+        host = self.host
         if op == "inject":
-            # An outside-world message: empty dependency vector, virtual
-            # sender -1, coordinator-assigned unique sequence number.
-            msg = AppMessage(
-                msg_id=MessageId(-1, 0, 0, int(frame["seq"])),
-                src=-1,
-                dst=self.pid,
-                payload=frame["payload"],
-                tdv=DependencyVector(self.n),
-            )
-            self.executor.execute(self.protocol.on_receive(msg))
-        elif op == "flush":
-            self._flush()
-        elif op == "notify":
-            self._notify()
-        elif op == "checkpoint":
-            self._checkpoint()
+            # Coordinator-assigned unique sequence number.
+            host.inject(frame["payload"], int(frame["seq"]))
+        elif op in ("flush", "notify", "checkpoint"):
+            getattr(host, op)()
         elif op == "status":
-            p = self.protocol
+            p = host.protocol
             write_frame(writer, {
                 "t": "status",
                 "rid": frame.get("rid"),
@@ -278,9 +214,7 @@ class Worker:
                 # Unacked releases count: a message bound for a crashed
                 # destination is still in flight until the restarted
                 # worker acks the timer-driven re-send.
-                "quiescent": not (p.send_buffer or p.receive_buffer
-                                  or len(p.output_buffer)
-                                  or p.unacked_count),
+                "quiescent": host.idle() and not p.unacked_count,
                 "outputs_committed": p.stats.outputs_committed,
                 "deliveries": p.stats.deliveries,
                 "restarts": p.stats.restarts,

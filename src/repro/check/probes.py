@@ -86,7 +86,7 @@ class ProbeSet:
         msg = effect.message
         if msg.src < 0 or msg.k_limit is None:
             return
-        config = host.harness.config
+        config = host.config
         if config.adaptive_k and msg.k_limit > config.resolved_k_max():
             self._report(
                 f"adaptive-K bound escaped: {msg.msg_id} released by "

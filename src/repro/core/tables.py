@@ -38,8 +38,8 @@ encoding: with :meth:`EntrySetTable.enable_changelog` a notification can
 carry only the entries changed since the peer's last acknowledged
 changelog position (:meth:`EntrySetTable.delta_since`).
 
-The previous dict-of-dicts implementation is retained below as
-``Reference*`` classes; the property suite in
+The previous dict-of-dicts implementation lives on as test-only ground
+truth (``tests/reference_model.py``); the property suite in
 ``tests/properties/test_columnar_equivalence.py`` drives both through
 random op sequences and asserts equal observable state.
 """
@@ -660,99 +660,6 @@ class IncarnationEndTable(EntrySetTable):
 
     def all_pairs(self) -> Iterator[Tuple[ProcessId, Entry]]:
         """(pid, end-entry) pairs across all processes (used by recovery)."""
-        for pid in range(self.n):
-            for entry in self.entries(pid):
-                yield pid, entry
-
-
-# -- reference (pre-columnar) implementations ---------------------------------
-#
-# The dict-of-dicts model the columnar tables replaced, kept as the ground
-# truth for the differential property suite.  Not used by the protocol.
-
-
-class ReferenceEntrySetTable:
-    """Dict-of-dicts ``array[1..N] of set of entry`` (pre-columnar model)."""
-
-    __slots__ = ("n", "_rows", "version")
-
-    def __init__(self, n: int):
-        if n <= 0:
-            raise ValueError(f"table needs at least one process, got n={n}")
-        self.n = n
-        self._rows: List[Dict[IncarnationId, IntervalIndex]] = [{} for _ in range(n)]
-        self.version = 0
-
-    def insert(self, pid: ProcessId, entry: Entry) -> None:
-        row = self._row(pid)
-        existing = row.get(entry.inc)
-        if existing is None or entry.sii > existing:
-            row[entry.inc] = entry.sii
-            self.version += 1
-
-    def entries(self, pid: ProcessId) -> Iterator[Entry]:
-        row = self._row(pid)
-        return iter(Entry(t, x) for t, x in sorted(row.items()))
-
-    def lookup(self, pid: ProcessId, inc: IncarnationId):
-        return self._row(pid).get(inc)
-
-    def row_size(self, pid: ProcessId) -> int:
-        return len(self._row(pid))
-
-    def snapshot(self) -> List[Dict[IncarnationId, IntervalIndex]]:
-        return [dict(row) for row in self._rows]
-
-    def merge_snapshot(self, snap) -> None:
-        if isinstance(snap, (TableSnapshot, SparseSnapshot)):
-            snap = snap.rows()
-        if len(snap) != self.n:
-            raise ValueError(
-                f"snapshot covers {len(snap)} processes, table covers {self.n}"
-            )
-        changed = False
-        rows = self._rows
-        for pid, snap_row in enumerate(snap):
-            if not snap_row:
-                continue
-            row = rows[pid]
-            for inc, sii in snap_row.items():
-                existing = row.get(inc)
-                if existing is None or sii > existing:
-                    row[inc] = sii
-                    changed = True
-        if changed:
-            self.version += 1
-
-    def _row(self, pid: ProcessId) -> Dict[IncarnationId, IntervalIndex]:
-        if not 0 <= pid < self.n:
-            raise IndexError(f"process id {pid} out of range [0, {self.n})")
-        return self._rows[pid]
-
-
-class ReferenceLoggingProgressTable(ReferenceEntrySetTable):
-    __slots__ = ()
-
-    def covers(self, pid: ProcessId, entry: Entry) -> bool:
-        x_prime = self.lookup(pid, entry.inc)
-        return x_prime is not None and entry.sii <= x_prime
-
-
-class ReferenceIncarnationEndTable(ReferenceEntrySetTable):
-    __slots__ = ()
-
-    def invalidates(self, pid: ProcessId, entry: Entry) -> bool:
-        row = self._row(pid)
-        for t, x_prime in row.items():
-            if t >= entry.inc and x_prime < entry.sii:
-                return True
-        return False
-
-    def highest_ended_incarnation(self, pid: ProcessId) -> int:
-        row = self._row(pid)
-        return max(row) if row else -1
-
-    def all_pairs(self) -> Iterator[Tuple[ProcessId, Entry]]:
         for pid in range(self.n):
             for entry in self.entries(pid):
                 yield pid, entry

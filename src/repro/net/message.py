@@ -42,11 +42,27 @@ class AppMessage:
     #: True when regenerated by deterministic replay after a failure.
     replayed: bool = False
     #: Unique per-transmission id (distinguishes duplicates in traces).
-    wire_id: int = field(default_factory=lambda: next(_wire_counter))
+    #: Names a transmission, not the message: not compared, not pickled.
+    wire_id: int = field(default_factory=lambda: next(_wire_counter),
+                         compare=False)
     #: Deliverability flag maintained by Check_deliverability (``m.deliver``).
     deliver: bool = False
     #: Per-message degree of optimism (Section 4.2); ``None`` = system K.
     k_limit: Optional[int] = None
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # ``wire_id`` names one in-memory transmission, not the message:
+        # it is left out of every pickle (journal records, pipes between
+        # parallel workers) and redrawn on load, so journal bytes do not
+        # depend on how many messages this interpreter numbered before,
+        # and a loaded message never collides with a live one.
+        state = dict(self.__dict__)
+        del state["wire_id"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self.wire_id = next(_wire_counter)
 
     def piggyback_size(self) -> int:
         """Non-NULL entries carried — the per-message cost K controls."""

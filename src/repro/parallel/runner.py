@@ -36,7 +36,12 @@ from repro.failures.injector import (
 from repro.parallel.trace import DepEvent, canonical_dep_events, dump_canonical
 from repro.parallel.worker import OutboxEntry, worker_main
 from repro.runtime.config import SimConfig
-from repro.runtime.metrics import RunMetrics, sample_mean, sample_percentile
+from repro.runtime.metrics import (
+    RunMetrics,
+    mean_recovery_span,
+    sample_mean,
+    sample_percentile,
+)
 
 
 def lookahead(config: SimConfig) -> float:
@@ -136,22 +141,9 @@ def merge_metrics(partials: List[RunMetrics], extras: List[Dict[str, Any]],
         merged.k_mean = sample_mean(history if history else final)
         merged.k_final_mean = sample_mean(final)
 
-    crash_events = sorted(t for e in extras for t, _pid in e["crash_events"])
-    rollback_events = sorted(
-        (t, pid) for e in extras for t, pid in e["rollback_events"])
-    if crash_events and rollback_events:
-        # Same crash-window attribution as SimulationHarness.metrics().
-        crash_times = sorted(set(crash_events))
-        spans = []
-        for i, crash_time in enumerate(crash_times):
-            window_end = (crash_times[i + 1] if i + 1 < len(crash_times)
-                          else float("inf"))
-            window = [t for t, _p in rollback_events
-                      if crash_time <= t < window_end]
-            if window:
-                spans.append(max(window) - crash_time)
-        if spans:
-            merged.mean_recovery_span = sum(spans) / len(spans)
+    merged.mean_recovery_span = mean_recovery_span(
+        [event for e in extras for event in e["crash_events"]],
+        [event for e in extras for event in e["rollback_events"]])
 
     merged.violations = [v for p in partials for v in p.violations]
     return merged
@@ -314,14 +306,14 @@ class ParallelHarness:
     def _settle(self, rounds: int = 4) -> None:
         """Mirror :meth:`SimulationHarness.settle` across the barrier."""
         self._align()
-        self._barrier_action("restart_down")
+        self._barrier_action("revive_crashed")
         for _ in range(rounds):
             if all(self._command_all(("quiescent", None))):
                 break
             self._align()
-            self._barrier_action("flush")
+            self._barrier_action("flush_round")
             self._align()
-            self._barrier_action("notify")
+            self._barrier_action("notify_round")
 
     def _finish(self) -> None:
         results = self._command_all(("finish", None))

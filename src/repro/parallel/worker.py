@@ -2,11 +2,16 @@
 
 Each worker OS process runs a :class:`_WorkerHarness` — a full
 :class:`~repro.runtime.harness.SimulationHarness` over all ``n`` protocol
-instances, of which only the *local* slice (``pid % workers == worker_id``,
-matching :class:`~repro.sim.shard.ShardedEngine` placement) ever executes:
-only local pids get timers, workload injections, and failure events, and
-the :class:`WorkerNetwork` exports any transmission addressed to a remote
-pid into the epoch outbox instead of scheduling it locally.
+instances, of which it *owns* only the local slice (``pid % workers ==
+worker_id``, matching :class:`~repro.sim.shard.ShardedEngine` placement).
+Through :meth:`SimulationHarness.owns` the base harness gives only owned
+hosts timers, workload injections, failure events, settle rounds and
+metrics; the hosts themselves are the same
+:class:`~repro.runtime.harness.ProcessHost` the serial run uses.  What
+this module adds is the epoch plumbing: the :class:`WorkerNetwork` exports
+any transmission addressed to a remote pid into the epoch outbox instead
+of scheduling it locally, and :func:`worker_main` answers the runner's
+barrier commands.
 
 Determinism contract (what makes the merged run bit-identical to serial
 sharded execution):
@@ -30,11 +35,7 @@ import time
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.failures.injector import (
-    CrashEvent,
-    FailureSchedule,
-    StorageFaultEvent,
-)
+from repro.failures.injector import FailureSchedule
 from repro.net.message import LogProgressNotification
 from repro.net.network import Network
 from repro.parallel import shm as shm_mod
@@ -50,6 +51,10 @@ OutboxEntry = Tuple[float, int, float, int, int, int, Any, Optional[str]]
 
 #: Engine-step safety net per epoch (mirrors the serial harness budget).
 MAX_EPOCH_EVENTS = 20_000_000
+
+#: The barrier actions of a settle, named after the
+#: :class:`~repro.runtime.harness.SimulationHarness` methods they run.
+SETTLE_STEPS = ("revive_crashed", "flush_round", "notify_round")
 
 #: Sentinel distinguishing "not yet staged" from "staging declined".
 _UNSTAGED = object()
@@ -91,23 +96,18 @@ class WorkerNetwork(Network):
 
 class _WorkerHarness(SimulationHarness):
     """One worker's shard of the deployment (all hosts built, local slice
-    driven)."""
+    owned)."""
 
     def __init__(self, config: SimConfig, behavior: Any,
                  failures: Optional[FailureSchedule], worker_id: int,
                  workers: int, protocol_factory: Any = None):
         self._worker_id = worker_id
         self._workers = workers
-        local_failures = FailureSchedule([
-            event for event in (failures or FailureSchedule.none())
-            if isinstance(event, (CrashEvent, StorageFaultEvent))
-            and event.pid % workers == worker_id
-        ])
         kwargs = {}
         if protocol_factory is not None:
             kwargs["protocol_factory"] = protocol_factory
         super().__init__(worker_config(config), behavior,
-                         failures=local_failures, **kwargs)
+                         failures=failures, **kwargs)
         self.arena: Optional[SnapshotArena] = None
         self.arenas: Optional[ArenaMap] = None
         if shm_mod._np is not None:
@@ -131,33 +131,8 @@ class _WorkerHarness(SimulationHarness):
             workers=self._workers,
         )
 
-    def is_local(self, pid: int) -> bool:
+    def owns(self, pid: int) -> bool:
         return pid % self._workers == self._worker_id
-
-    def local_hosts(self):
-        return [host for host in self.hosts if self.is_local(host.pid)]
-
-    def _start_timers(self) -> None:
-        config = self.config
-        for host in self.hosts:
-            if not self.is_local(host.pid):
-                continue
-            phase = (host.pid + 1) / (config.n + 1)
-            self._periodic(config.flush_interval, phase, host.flush)
-            self._periodic(config.checkpoint_interval, phase, host.checkpoint)
-            self._periodic(config.notify_interval, phase, host.notify)
-            if host.controller is not None:
-                self._periodic(config.control_interval, phase,
-                               host.control_tick)
-
-    def inject_at(self, time: float, dst: int, payload: Any) -> None:
-        # Consume the global sequence counter for *every* injection (all
-        # workers run the same install calls), schedule only local ones.
-        seq = next(self._inject_seq)
-        if not self.is_local(dst):
-            return
-        self.engine.schedule_at(time, lambda: self.inject_now(dst, payload, seq),
-                                label=f"inject->{dst}", shard=dst)
 
     # -- epoch protocol --------------------------------------------------------
 
@@ -165,17 +140,11 @@ class _WorkerHarness(SimulationHarness):
         self.arenas = ArenaMap(names, self._worker_id, self.arena)
 
     def begin(self, duration: float) -> None:
-        """The pre-loop of :meth:`SimulationHarness.run`: fix the horizon,
-        cancel beyond-horizon failures, start the local periodic timers."""
         # CPU accounting starts here so the reported figure covers the
         # run phase only — construction/install happen before the timed
         # region of a bench run (see perf.bench.run_scenario).
         self._cpu_mark = time.process_time()
-        self._horizon = duration
-        for event, handle in self._failure_handles:
-            if event.time > duration:
-                handle.cancel()
-        self._start_timers()
+        super().begin(duration)
 
     def run_epoch(self, bound: Optional[float]) -> None:
         """Fire every pending event with time strictly below ``bound``
@@ -253,30 +222,9 @@ class _WorkerHarness(SimulationHarness):
     def peek(self) -> Optional[float]:
         return self.engine._peek_time()
 
-    # -- settle helpers --------------------------------------------------------
-
-    def restart_down(self) -> None:
-        for host in self.local_hosts():
-            if host.down:
-                host.restart()
-
-    def flush_local(self) -> None:
-        for host in self.local_hosts():
-            host.flush()
-
-    def notify_local(self) -> None:
-        for host in self.local_hosts():
-            host.notify()
-
-    def local_quiescent(self) -> bool:
-        for host in self.local_hosts():
-            if host.down:
-                return False
-            protocol = host.protocol
-            if (protocol.send_buffer or protocol.receive_buffer
-                    or len(protocol.output_buffer)):
-                return False
-        return True
+    def epoch_reply(self) -> Tuple[List[OutboxEntry], Optional[float], float]:
+        """What the runner needs after any step that may have sent."""
+        return self.take_outbox(), self.peek(), self.engine.now
 
     # -- results ---------------------------------------------------------------
 
@@ -284,13 +232,8 @@ class _WorkerHarness(SimulationHarness):
         """Everything the coordinator needs: a local-slice metrics partial
         plus the raw totals mean/percentile fields must be recomputed
         from, the local ``dep.*`` trace, and the committed outputs."""
-        local = self.local_hosts()
-        saved_hosts = self.hosts
-        self.hosts = local
-        try:
-            partial = self.metrics()
-        finally:
-            self.hosts = saved_hosts
+        partial = self.metrics()
+        local = self.owned
         controllers = [h.controller for h in local if h.controller is not None]
         extras = {
             "send_hold_total": sum(
@@ -317,7 +260,7 @@ class _WorkerHarness(SimulationHarness):
             (e.time, e.category, e.process, e.data)
             for e in self.tracer.events
             if e.category.startswith("dep.")
-            and e.process is not None and self.is_local(e.process)
+            and e.process is not None and self.owns(e.process)
         ]
         committed = [
             (now, record.process, record.output_id)
@@ -373,25 +316,15 @@ def worker_main(conn: Any, worker_id: int, workers: int, config: SimConfig,
                 conn.send(("ok", harness.peek()))
             elif cmd == "run":
                 harness.run_epoch(arg)
-                conn.send(("done", (harness.take_outbox(), harness.peek(),
-                                    harness.engine.now)))
+                conn.send(("done", harness.epoch_reply()))
             elif cmd == "advance":
                 harness.engine.advance_to(arg)
                 conn.send(("ok", None))
-            elif cmd == "restart_down":
-                harness.restart_down()
-                conn.send(("done", (harness.take_outbox(), harness.peek(),
-                                    harness.engine.now)))
+            elif cmd in SETTLE_STEPS:
+                getattr(harness, cmd)()
+                conn.send(("done", harness.epoch_reply()))
             elif cmd == "quiescent":
-                conn.send(("ok", harness.local_quiescent()))
-            elif cmd == "flush":
-                harness.flush_local()
-                conn.send(("done", (harness.take_outbox(), harness.peek(),
-                                    harness.engine.now)))
-            elif cmd == "notify":
-                harness.notify_local()
-                conn.send(("done", (harness.take_outbox(), harness.peek(),
-                                    harness.engine.now)))
+                conn.send(("ok", harness.quiescent()))
             elif cmd == "finish":
                 conn.send(("result", harness.collect_results()))
                 return

@@ -1,27 +1,23 @@
 """Transport-agnostic interpretation of protocol effects.
 
 The sans-IO core returns effects; *something* must turn them into sends,
-timers, commits, and trace records.  Before the runtime backplane existed
-that something lived inside the simulation harness, entangled with the
-engine and the ground-truth oracle.  :class:`EffectExecutor` is the
-factored-out interpreter shared by both drivers:
+timers, commits, and trace records.  :class:`EffectExecutor` is that
+interpreter.  Each :class:`~repro.runtime.harness.ProcessHost` — the one
+per-process host every driver (serial simulation, parallel workers,
+``repro serve`` workers) runs — owns one, and hands it the host's two
+environment seams:
 
-- the **simulation harness** plugs in the simulated :class:`Network`, the
-  engine's timer queue, and :class:`ExecutionHooks` that feed the oracle
-  and run the Theorem-4 / output-commit invariant checks inline;
-- the **runtime backplane** (:mod:`repro.backplane`) plugs in a TCP
-  transport, wall-clock timers, and no hooks — correctness is certified
-  post-hoc by replaying the collected traces through the same oracle
-  (:mod:`repro.oracle.ingest`).
-
-The executor needs three capabilities from its environment:
-
-- ``transport`` with the :class:`Network` signatures —
+- ``transport`` with the :class:`~repro.net.network.Network` signatures —
   ``send_app(msg)``, ``send_control(src, dst, payload)``,
   ``broadcast_control(src, payload, reliable=...)``;
-- ``schedule(delay, callback)`` returning a cancellable handle
-  (the engine in simulation, an asyncio adapter in the runtime);
-- ``now_fn()`` — virtual time in simulation, wall-clock in the runtime.
+- ``clock`` with ``now`` (virtual time in simulation, wall-clock in serve)
+  and ``schedule(delay, callback)`` returning a cancellable handle.
+
+:class:`ExecutionHooks` are the driver's observer slots: the simulation
+plugs in hooks that feed the ground-truth oracle and run the Theorem-4 /
+output-commit invariant checks inline; serve plugs in none, and is
+certified post-hoc by replaying its traces through the same oracle
+(:mod:`repro.oracle.ingest`).
 
 With ``dep_trace`` enabled the executor additionally records the
 ``dep.*`` event family: a numeric, parser-free encoding of exactly the
@@ -51,6 +47,7 @@ from repro.core.effects import (
     StableProgress,
 )
 from repro.net.message import LoggingRequest
+from repro.runtime.metrics import output_latency
 from repro.sim.trace import Tracer
 
 
@@ -68,12 +65,9 @@ class ExecutionHooks:
     def pre_commit(self, record: Any) -> None:
         """Called before an output commit is recorded."""
 
-    def post_commit(self, now: float, record: Any, wait: float = 0.0) -> None:
-        """Called after the commit checks, before the trace record.
-
-        ``wait`` is the output's buffer residence time (from
-        :class:`~repro.core.effects.CommitOutput`) — the fallback latency
-        sample when the payload carries no injection stamp."""
+    def post_commit(self, now: float, record: Any, latency: float) -> None:
+        """Called after the commit checks, before the trace record, with
+        the output's latency sample (:func:`~repro.runtime.metrics.output_latency`)."""
 
     def on_delivery(self, effect: MessageDelivered) -> None:
         """Called for every *non-replay* delivery (a new state interval)."""
@@ -96,8 +90,7 @@ class EffectExecutor:
         pid: int,
         *,
         transport: Any,
-        schedule: Callable[..., Any],
-        now_fn: Callable[[], float],
+        clock: Any,
         tracer: Tracer,
         on_retransmit: Callable[[Any], None],
         hooks: Optional[ExecutionHooks] = None,
@@ -105,12 +98,14 @@ class EffectExecutor:
     ):
         self.pid = pid
         self.transport = transport
-        self.schedule = schedule
-        self.now_fn = now_fn
+        self.clock = clock
         self.tracer = tracer
         self.on_retransmit = on_retransmit
         self.hooks = hooks if hooks is not None else ExecutionHooks()
         self.dep_trace = dep_trace
+        #: The host's adaptive-K sample window (None without a
+        #: controller): every committed output's latency is appended.
+        self.latency_sink: Optional[List[float]] = None
 
     def execute(
         self,
@@ -124,7 +119,7 @@ class EffectExecutor:
         seeing every effect against the state its predecessors produced.
         """
         pid = self.pid
-        now = self.now_fn()
+        now = self.clock.now
         tracer = self.tracer
         hooks = self.hooks
         dep = self.dep_trace
@@ -161,7 +156,10 @@ class EffectExecutor:
             elif isinstance(effect, CommitOutput):
                 record = effect.record
                 hooks.pre_commit(record)
-                hooks.post_commit(now, record, effect.wait)
+                latency = output_latency(now, record, effect.wait)
+                hooks.post_commit(now, record, latency)
+                if self.latency_sink is not None:
+                    self.latency_sink.append(latency)
                 tracer.record(now, "output.commit", pid,
                               output=str(record.output_id))
                 if dep:
@@ -205,7 +203,7 @@ class EffectExecutor:
                 self.transport.send_control(
                     pid, effect.dst, effect.notification)
             elif isinstance(effect, ScheduleRetransmit):
-                self.schedule(
+                self.clock.schedule(
                     effect.delay,
                     lambda mid=effect.msg_id: self.on_retransmit(mid),
                 )

@@ -1,11 +1,17 @@
-"""The simulation harness: protocol instances wired to the event engine.
+"""The simulation harness and the per-process host every driver runs.
 
-Responsibilities:
+:class:`ProcessHost` is the one runtime wrapper around a protocol
+instance: it interprets effects, dispatches incoming traffic, runs the
+periodic activities the paper assumes (asynchronous flushes, checkpoints,
+logging progress notifications, plus the adaptive-K control tick) and
+handles crash/restart.  It talks to its environment only through a Clock
+and a Transport, so the serial simulation, the parallel workers and the
+``repro serve`` workers all run this same class.
 
-- host one recovery-layer protocol per process and interpret its effects
-  (transmit, broadcast, commit);
-- drive the periodic activities the paper assumes: asynchronous flushes,
-  checkpoints, logging progress notifications;
+:class:`SimulationHarness` builds one simulated deployment around it:
+
+- host one :class:`ProcessHost` per process over the event engine (the
+  Clock) and the simulated network (the Transport);
 - inject workload traffic (outside-world messages with empty dependency
   vectors) and crash/restart processes per the failure schedule;
 - maintain the ground-truth oracle and cross-check protocol claims
@@ -23,11 +29,12 @@ Responsibilities:
 from __future__ import annotations
 
 import itertools
+import math
 import shutil
 import tempfile
 import weakref
 from dataclasses import replace
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Set, Tuple
 
 from repro.app.behavior import AppBehavior
 from repro.core.depvec import DependencyVector
@@ -57,7 +64,12 @@ from repro.net.reliable import ReliableConfig
 from repro.oracle.graph import DependencyOracle
 from repro.runtime.config import SimConfig
 from repro.runtime.executor import EffectExecutor, ExecutionHooks
-from repro.runtime.metrics import RunMetrics, sample_mean, sample_percentile
+from repro.runtime.metrics import (
+    RunMetrics,
+    mean_recovery_span,
+    sample_mean,
+    sample_percentile,
+)
 from repro.storage.backend import make_backend
 from repro.storage.faults import StorageDeadError
 from repro.sim.engine import Engine
@@ -151,22 +163,9 @@ class _OracleHooks(ExecutionHooks):
         if self.harness.config.check_invariants:
             self.harness.check_output_commit(record)
 
-    def post_commit(self, now: float, record: Any, wait: float = 0.0) -> None:
+    def post_commit(self, now: float, record: Any, latency: float) -> None:
         self.harness.committed_outputs.append((now, record))
-        # Output-commit latency sample: end-to-end (injection to commit)
-        # when the payload carries an open-loop injection stamp ``t0``,
-        # buffer residence time otherwise.  Feeds both the run-level SLO
-        # percentiles and this process's adaptive-K controller window.
-        sample = wait
-        payload = getattr(record, "payload", None)
-        if isinstance(payload, dict):
-            t0 = payload.get("t0")
-            if isinstance(t0, (int, float)):
-                sample = now - float(t0)
-        self.harness.output_latency_samples.append(sample)
-        host = self.harness.hosts[self.pid]
-        if host.controller is not None:
-            host.commit_waits.append(sample)
+        self.harness.output_latency_samples.append(latency)
 
     def on_delivery(self, effect: MessageDelivered) -> None:
         self.harness.oracle.record_delivery(
@@ -194,44 +193,99 @@ class _OracleHooks(ExecutionHooks):
         )
 
 
-#: Engine priority of the per-host notification drain: strictly after all
-#: same-time message deliveries (priority 0) so a tick's notifications are
-#: all in the batch before it fires.
-_NOTIF_DRAIN_PRIORITY = 4
+def _controller_for(pid: int, config: SimConfig) -> Any:
+    """The adaptive-K controller of process ``pid`` under ``config``."""
+    # Lazy: repro.control imports repro.runtime.metrics, and a top-level
+    # import would close a cycle through the package __init__s.
+    from repro.control import AdaptiveKController, ControllerConfig
+
+    return AdaptiveKController(pid, ControllerConfig(
+        k_min=config.k_min,
+        k_max=config.resolved_k_max(),
+        slo_target=config.slo_output_latency,
+        slo_percentile=config.slo_percentile,
+        window=config.control_window,
+        increase_step=config.k_increase_step,
+        decrease_factor=config.k_decrease_factor,
+        explore_probability=config.k_explore_probability,
+    ), seed=config.seed)
 
 
 class ProcessHost:
-    """Runtime wrapper around one protocol instance."""
+    """One protocol instance and the runtime around it.
 
-    def __init__(self, harness: "SimulationHarness", pid: int, protocol: Any):
-        self.harness = harness
+    The serial simulation, each parallel worker and each ``repro serve``
+    worker run their processes through this one class, over two seams:
+
+    - a **Clock**: ``now``, ``schedule(delay, callback)`` and
+      ``defer(callback, label=, shard=)``, which runs ``callback`` behind
+      every same-tick delivery — the :class:`~repro.sim.engine.Engine` in
+      simulation, a :class:`~repro.backplane.clock.WallClock` in serve;
+    - a **Transport** with the :class:`~repro.net.network.Network`
+      interface (``send_app``, ``send_control``, ``broadcast_control``,
+      ``on_process_crash``, ``on_process_restart``).
+
+    The host owns incoming dispatch (acks, control-envelope dedup, parking
+    while down), notification batching and sending (fanout, own-row,
+    delta), the adaptive-K controller and its latency samples, fail-stop
+    on storage death, crash/restart, the periodic timers and
+    outside-world messages.
+    """
+
+    def __init__(
+        self,
+        pid: int,
+        protocol: Any,
+        config: SimConfig,
+        *,
+        clock: Any,
+        transport: Any,
+        tracer: Tracer,
+        rngs: RngRegistry,
+        hooks: Optional[ExecutionHooks] = None,
+        effect_probes: Sequence[Callable[["ProcessHost", Effect], None]] = (),
+    ):
         self.pid = pid
         self.protocol = protocol
+        self.config = config
+        self.clock = clock
+        self.transport = transport
+        self.tracer = tracer
+        self.rngs = rngs
+        #: Checker probes run per effect before interpretation (a list the
+        #: driver may extend later; empty in normal runs).
+        self.effect_probes = effect_probes
+        # Drivers resolve the automatic ``ack_layer=None`` before this.
+        self.ack_enabled = bool(config.ack_layer)
         self.executor = EffectExecutor(
             pid,
-            transport=harness.network,
-            schedule=harness.engine.schedule,
-            now_fn=lambda: harness.engine.now,
-            tracer=harness.tracer,
+            transport=transport,
+            clock=clock,
+            tracer=tracer,
             on_retransmit=self._retransmit_timer,
-            hooks=_OracleHooks(harness, pid),
-            dep_trace=harness.config.dep_trace,
+            hooks=hooks,
+            dep_trace=config.dep_trace,
         )
         self.down = False
         self.pending_control: List[Any] = []
         #: Same-tick notification fan-in buffer: log-progress notifications
-        #: arriving at one virtual time are merged in a single batched pass
-        #: (one table merge + one release/commit scan) by a drain event
-        #: scheduled behind all same-time deliveries.
+        #: arriving at one tick are merged in a single batched pass (one
+        #: table merge + one release/commit scan) by a deferred drain.
         self._notif_batch: List[LogProgressNotification] = []
         self.lost_app_messages = 0
         self.crash_count = 0
-        #: Adaptive-K controller (None unless ``config.adaptive_k``); the
-        #: harness installs ``controller.recommend`` as the protocol's
-        #: per-message ``k_policy``.
+        #: Adaptive-K controller (None unless ``config.adaptive_k``); its
+        #: ``recommend`` is the protocol's per-message ``k_policy``.
         self.controller: Optional[Any] = None
         #: Latency samples accumulated since the last control tick.
         self.commit_waits: List[float] = []
+        if config.adaptive_k:
+            self.controller = _controller_for(pid, config)
+            # Every message the application sends without an explicit
+            # bound now carries the controller's current K (Section 4.2's
+            # per-message path keeps receivers correct).
+            protocol.k_policy = self.controller.recommend
+            self.executor.latency_sink = self.commit_waits
         #: Times the storage backend declared itself dead (fail-stop).
         self.storage_deaths = 0
         #: Transport-level dedup of reliable control envelopes by
@@ -254,9 +308,8 @@ class ProcessHost:
                 # The transport endpoint died with the process: no ack is
                 # sent, so the sender's retransmission timer keeps the
                 # envelope alive until we answer after restart.
-                self.harness.tracer.record(
-                    self.harness.engine.now, "net.lost", self.pid,
-                    msg=str(payload),
+                self.tracer.record(
+                    self.clock.now, "net.lost", self.pid, msg=str(payload),
                 )
             elif isinstance(payload, (FailureAnnouncement, LogProgressNotification)):
                 self.pending_control.append(payload)
@@ -264,15 +317,15 @@ class ProcessHost:
                 # Logging requests are best-effort hints: dropping one only
                 # delays an output until the next periodic notification.
                 self.lost_app_messages += isinstance(payload, AppMessage)
-                self.harness.tracer.record(
-                    self.harness.engine.now, "net.lost", self.pid,
+                self.tracer.record(
+                    self.clock.now, "net.lost", self.pid,
                     msg=str(getattr(payload, "msg_id", payload)),
                 )
             return
         if isinstance(payload, ControlEnvelope):
             # Always ack — the previous ack may itself have been lost —
             # but hand each envelope to the protocol exactly once.
-            self.harness.network.send_control(
+            self.transport.send_control(
                 self.pid, payload.src,
                 ControlAck(payload.seq, self.pid, payload.src),
             )
@@ -287,34 +340,54 @@ class ProcessHost:
             return
         if isinstance(payload, AppMessage):
             effects = self.protocol.on_receive(payload)
-            if self.harness.ack_enabled and payload.src >= 0:
-                self.harness.network.send_control(
+            if self.ack_enabled and payload.src >= 0:
+                self.transport.send_control(
                     self.pid, payload.src,
                     AppAck(payload.msg_id, self.pid, payload.src),
                 )
         elif isinstance(payload, FailureAnnouncement):
-            self.harness.tracer.record(
-                self.harness.engine.now, "ann.receive", self.pid, ann=str(payload)
+            self.tracer.record(
+                self.clock.now, "ann.receive", self.pid, ann=str(payload)
             )
             effects = self.protocol.on_failure_announcement(payload)
         elif isinstance(payload, LogProgressNotification):
-            # Batch same-time notifications: the first arrival schedules a
-            # drain event behind every other same-time delivery (priority 4
-            # > the deliveries' 0), so N notifications landing on one tick
-            # cost one table merge and one release/commit scan instead of N.
+            # Batch same-tick notifications: the first arrival defers a
+            # drain behind every other same-tick delivery, so N
+            # notifications landing on one tick cost one table merge and
+            # one release/commit scan instead of N.
             self._notif_batch.append(payload)
             if len(self._notif_batch) == 1:
-                self.harness.engine.schedule_at(
-                    self.harness.engine.now, self._drain_notifications,
-                    priority=_NOTIF_DRAIN_PRIORITY,
-                    label=f"notify-drain:{self.pid}", shard=self.pid,
-                )
+                self.clock.defer(self._drain_notifications,
+                                 label=f"notify-drain:{self.pid}",
+                                 shard=self.pid)
             return
         elif isinstance(payload, LoggingRequest):
             effects = self.protocol.on_logging_request(payload)
         else:
             raise TypeError(f"unexpected payload {payload!r}")
         self.execute(effects)
+
+    def inject(self, payload: Any, seq: int) -> None:
+        """Deliver an outside-world message now.
+
+        Environment messages carry an empty dependency vector (the outside
+        world has no rollback-able state) and a unique id ``seq`` drawn
+        from a virtual sender ``-1``.
+        """
+        self.incoming(AppMessage(
+            msg_id=MessageId(-1, 0, 0, seq),
+            src=-1,
+            dst=self.pid,
+            payload=payload,
+            tdv=DependencyVector(self.config.n),
+        ))
+
+    def idle(self) -> bool:
+        """Up, and holding no undelivered, unreleased or uncommitted
+        traffic."""
+        protocol = self.protocol
+        return not (self.down or protocol.send_buffer
+                    or protocol.receive_buffer or len(protocol.output_buffer))
 
     # -- effect interpretation ------------------------------------------------
 
@@ -324,7 +397,7 @@ class ProcessHost:
         The checker's effect probes (when any are registered) run per
         effect *before* interpretation; the indirection is built only on
         the instrumented path to keep normal runs lean."""
-        effect_probes = self.harness.effect_probes
+        effect_probes = self.effect_probes
         probe = None
         if effect_probes:
             def probe(effect: Effect) -> None:
@@ -357,6 +430,33 @@ class ProcessHost:
 
     # -- periodic activities --------------------------------------------------
 
+    def start_timers(self, horizon: float = math.inf) -> None:
+        """Start the periodic flush, checkpoint, notification and control
+        activities, phase-staggered by pid so processes do not act in
+        lockstep.  No timer is scheduled to fire past ``horizon``."""
+        config = self.config
+        phase = (self.pid + 1) / (config.n + 1)
+        self._every(config.flush_interval, phase, self.flush, horizon)
+        self._every(config.checkpoint_interval, phase, self.checkpoint,
+                    horizon)
+        self._every(config.notify_interval, phase, self.notify, horizon)
+        if self.controller is not None:
+            self._every(config.control_interval, phase, self.control_tick,
+                        horizon)
+
+    def _every(self, interval: float, phase: float,
+               action: Callable[[], None], horizon: float) -> None:
+        clock = self.clock
+
+        def fire() -> None:
+            action()
+            if clock.now + interval <= horizon:
+                clock.schedule(interval, fire)
+
+        first = interval * phase
+        if first <= horizon:
+            clock.schedule(first, fire)
+
     def flush(self) -> None:
         if self.down:
             return
@@ -376,29 +476,30 @@ class ProcessHost:
     def notify(self) -> None:
         if self.down:
             return
-        own_only = not self.harness.config.gossip_log_tables
+        config = self.config
+        own_only = not config.gossip_log_tables
         delta = getattr(self.protocol, "delta_notifications", False)
         if not delta:
             notif = self.protocol.make_log_notification(own_only=own_only)
-        fanout = self.harness.config.notify_fanout
+        fanout = config.notify_fanout
         if fanout is None:
             if delta:
                 # Delta encoding is per-destination (each peer has its own
                 # changelog cursor), so the broadcast unrolls into per-dst
                 # sends in the same order broadcast_control would use.
-                for dst in range(self.harness.config.n):
+                for dst in range(config.n):
                     if dst == self.pid:
                         continue
-                    self.harness.network.send_control(
+                    self.transport.send_control(
                         self.pid, dst,
                         self.protocol.make_log_notification_for(
                             dst, own_only=own_only),
                     )
             else:
-                self.harness.network.broadcast_control(self.pid, notif)
+                self.transport.broadcast_control(self.pid, notif)
             return
-        n = self.harness.config.n
-        rng = self.harness.rngs.stream(f"notify/{self.pid}")
+        n = config.n
+        rng = self.rngs.stream(f"notify/{self.pid}")
         # Sample peer *indices* and skip over our own pid arithmetically:
         # same draws as sampling an explicit peers list, without building
         # an (n-1)-element list per notification.
@@ -407,7 +508,7 @@ class ProcessHost:
             if delta:
                 notif = self.protocol.make_log_notification_for(
                     dst, own_only=own_only)
-            self.harness.network.send_control(self.pid, dst, notif)
+            self.transport.send_control(self.pid, dst, notif)
 
     def control_tick(self) -> None:
         """One adaptive-K observation: feed the controller the latency
@@ -419,17 +520,16 @@ class ProcessHost:
         from repro.control import Observation
 
         stats = self.protocol.stats
-        drained, self.commit_waits = self.commit_waits, []
+        drained = tuple(self.commit_waits)
+        self.commit_waits.clear()
         obs = Observation(
-            time=self.harness.engine.now,
+            time=self.clock.now,
             revocations=(stats.rollbacks + stats.restarts
                          + stats.orphans_discarded + stats.outputs_discarded),
-            commit_waits=tuple(drained),
+            commit_waits=drained,
         )
         new_k = self.controller.observe(obs)
-        self.harness.tracer.record(
-            self.harness.engine.now, "control.k", self.pid, k=new_k,
-        )
+        self.tracer.record(self.clock.now, "control.k", self.pid, k=new_k)
 
     # -- failure handling -----------------------------------------------------
 
@@ -438,8 +538,8 @@ class ProcessHost:
         clean fail-stop crash handled by the normal Restart path (whose
         recovery scan also revives the backend)."""
         self.storage_deaths += 1
-        self.harness.tracer.record(
-            self.harness.engine.now, "storage.dead", self.pid, context=context
+        self.tracer.record(
+            self.clock.now, "storage.dead", self.pid, context=context
         )
         self.crash()
 
@@ -451,11 +551,9 @@ class ProcessHost:
         self.protocol.crash()
         # Fail-stop: a dead process transmits nothing, including control
         # retransmissions queued on its behalf before the crash.
-        self.harness.network.on_process_crash(self.pid)
-        self.harness.tracer.record(self.harness.engine.now, "failure.crash", self.pid)
-        self.harness.engine.schedule(
-            self.harness.config.restart_delay, self.restart
-        )
+        self.transport.on_process_crash(self.pid)
+        self.tracer.record(self.clock.now, "failure.crash", self.pid)
+        self.clock.schedule(self.config.restart_delay, self.restart)
 
     def restart(self) -> None:
         if not self.down:
@@ -467,23 +565,20 @@ class ProcessHost:
             # Restart itself died).  Stay down and retry: injected faults
             # are consumed as they fire, so a retry eventually succeeds.
             self.storage_deaths += 1
-            self.harness.tracer.record(
-                self.harness.engine.now, "storage.dead", self.pid,
-                context="restart",
+            self.tracer.record(
+                self.clock.now, "storage.dead", self.pid, context="restart",
             )
             if not self.protocol.failed:
                 # Restart died partway through coming back up: crash the
                 # protocol again so the next attempt starts from a clean
                 # failed state.
                 self.protocol.crash()
-            self.harness.engine.schedule(
-                self.harness.config.restart_delay, self.restart
-            )
+            self.clock.schedule(self.config.restart_delay, self.restart)
             return
         self.down = False
         # Back alive: pre-crash reliable-control envelopes may resume their
         # retry cycle (destinations deduplicate, so re-sends are harmless).
-        self.harness.network.on_process_restart(self.pid)
+        self.transport.on_process_restart(self.pid)
         self.execute(effects)
         # Replay forced nothing new to disk, but the stable prefix is intact;
         # deliver the control traffic that arrived while we were down.
@@ -511,6 +606,7 @@ class SimulationHarness:
         self.ack_enabled = (
             unreliable if config.ack_layer is None else config.ack_layer
         )
+        config = replace(config, ack_layer=self.ack_enabled)
         if self.ack_enabled and config.retransmit_timeout == 0:
             config = replace(config, retransmit_timeout=config.ctl_rto)
         # The file-log backend needs a directory; resolve an unset one to a
@@ -562,37 +658,22 @@ class SimulationHarness:
         #: effect and per engine step.  Empty in normal runs.
         self.effect_probes: List[Callable[["ProcessHost", Effect], None]] = []
         self._step_probes: List[Callable[["SimulationHarness"], None]] = []
-        controller_config = None
-        if config.adaptive_k:
-            # Imported lazily: repro.control's latency math lives on
-            # repro.runtime.metrics, so a top-level import here would
-            # close an import cycle through the package __init__s.
-            from repro.control import AdaptiveKController, ControllerConfig
-
-            controller_config = ControllerConfig(
-                k_min=config.k_min,
-                k_max=config.resolved_k_max(),
-                slo_target=config.slo_output_latency,
-                slo_percentile=config.slo_percentile,
-                window=config.control_window,
-                increase_step=config.k_increase_step,
-                decrease_factor=config.k_decrease_factor,
-                explore_probability=config.k_explore_probability,
-            )
         self.hosts: List[ProcessHost] = []
         for pid in range(config.n):
             protocol = protocol_factory(pid, config, behavior, lambda: self.engine.now)
-            host = ProcessHost(self, pid, protocol)
-            if controller_config is not None:
-                host.controller = AdaptiveKController(
-                    pid, controller_config, seed=config.seed
-                )
-                # Every message the application sends without an explicit
-                # bound now carries the controller's current K (Section
-                # 4.2's per-message path keeps receivers correct).
-                host.protocol.k_policy = host.controller.recommend
+            host = ProcessHost(
+                pid, protocol, config,
+                clock=self.engine, transport=self.network, tracer=self.tracer,
+                rngs=self.rngs, hooks=_OracleHooks(self, pid),
+                effect_probes=self.effect_probes,
+            )
             self.hosts.append(host)
             self.network.register(pid, host.incoming)
+        #: The hosts this driver runs: timers, injections, failures, settle
+        #: rounds and metrics cover these.  All of them when serial; a
+        #: parallel worker owns one slice (see :meth:`owns`).
+        self.owned: List[ProcessHost] = [
+            host for host in self.hosts if self.owns(host.pid)]
         for host in self.hosts:
             host.execute(host.protocol.initialize())
             self.oracle.start_process(host.pid)
@@ -616,11 +697,18 @@ class SimulationHarness:
         # the horizon (they must not fire mid-settle).
         self._failure_handles: List[Tuple[Any, Any]] = []
         for event in self.failures:
+            if (isinstance(event, (CrashEvent, StorageFaultEvent))
+                    and not self.owns(event.pid)):
+                continue
             self._failure_handles.append(
                 (event, self.engine.schedule_at(
                     event.time, self._make_failure(event),
                     label=f"failure:{type(event).__name__}"))
             )
+
+    def owns(self, pid: int) -> bool:
+        """Whether this driver runs process ``pid`` (always, serially)."""
+        return True
 
     def _build_network(
         self,
@@ -676,32 +764,21 @@ class SimulationHarness:
     def inject_at(self, time: float, dst: int, payload: Any) -> None:
         """Schedule an outside-world message for ``dst`` at ``time``.
 
-        The injection sequence number is drawn *now*, at schedule time:
-        workloads install injections in one deterministic order, so the
-        assignment is identical whether one harness schedules all of them
-        or each parallel worker schedules only its local subset."""
+        The injection sequence number is drawn *now*, at schedule time,
+        for every injection, owned or not: workloads install injections
+        in one deterministic order, so the assignment is identical whether
+        one harness schedules all of them or each parallel worker
+        schedules only its own subset."""
         seq = next(self._inject_seq)
-        self.engine.schedule_at(time, lambda: self.inject_now(dst, payload, seq),
+        if not self.owns(dst):
+            return
+        host = self.hosts[dst]
+        self.engine.schedule_at(time, lambda: host.inject(payload, seq),
                                 label=f"inject->{dst}", shard=dst)
 
-    def inject_now(self, dst: int, payload: Any,
-                   seq: Optional[int] = None) -> None:
-        """Deliver an outside-world message to ``dst`` immediately.
-
-        Environment messages carry an empty dependency vector (the outside
-        world has no rollback-able state) and a unique id drawn from a
-        virtual sender ``-1``.
-        """
-        if seq is None:
-            seq = next(self._inject_seq)
-        msg = AppMessage(
-            msg_id=MessageId(-1, 0, 0, seq),
-            src=-1,
-            dst=dst,
-            payload=payload,
-            tdv=DependencyVector(self.config.n),
-        )
-        self.hosts[dst].incoming(msg)
+    def inject_now(self, dst: int, payload: Any) -> None:
+        """Deliver an outside-world message to ``dst`` immediately."""
+        self.hosts[dst].inject(payload, next(self._inject_seq))
 
     # -- failure plumbing ------------------------------------------------------
 
@@ -794,6 +871,13 @@ class SimulationHarness:
         """Run for ``duration`` virtual time units, then (optionally) settle:
         drain in-flight traffic and force enough flush/notify rounds that
         every held message is either released or discarded."""
+        self.begin(duration)
+        self.engine.run(until=duration, max_events=20_000_000)
+        if settle:
+            self.settle()
+
+    def begin(self, duration: float) -> None:
+        """Fix the horizon and start the owned hosts' periodic timers."""
         self._horizon = duration
         # Failure events beyond the horizon must not fire: settle() drains
         # the queue past ``duration``, and a stray crash mid-settle would
@@ -801,10 +885,8 @@ class SimulationHarness:
         for event, handle in self._failure_handles:
             if event.time > duration:
                 handle.cancel()
-        self._start_timers()
-        self.engine.run(until=duration, max_events=20_000_000)
-        if settle:
-            self.settle()
+        for host in self.owned:
+            host.start_timers(duration)
 
     def settle(self, rounds: int = 4) -> None:
         """Quiesce the system after the timed phase."""
@@ -813,58 +895,41 @@ class SimulationHarness:
         if self.network.faults is not None:
             self.network.faults.heal(self.engine.now)
         self.engine.run(max_events=20_000_000)
-        # A crash close to the horizon may leave a process down.
-        for host in self.hosts:
-            if host.down:
-                host.restart()
+        self.revive_crashed()
         self.engine.run(max_events=20_000_000)
         for _ in range(rounds):
             # The flush/notify rounds exist only to dislodge held traffic;
             # once every buffer is empty another round cannot change
             # anything (the engine queue is already drained), so stop.
-            if self._quiescent():
+            if self.quiescent():
                 break
-            for host in self.hosts:
-                host.flush()
+            self.flush_round()
             self.engine.run(max_events=20_000_000)
-            for host in self.hosts:
-                host.notify()
+            self.notify_round()
             self.engine.run(max_events=20_000_000)
         if self.config.check_invariants:
             self.violations.extend(self.oracle.check_consistency())
 
-    def _quiescent(self) -> bool:
-        """True when no host holds undelivered, unreleased or uncommitted
-        traffic (with the event queue drained, nothing can move again)."""
-        for host in self.hosts:
+    # Settle steps, one per barrier action of the parallel runner.
+
+    def revive_crashed(self) -> None:
+        """Restart owned processes still down (a crash near the horizon)."""
+        for host in self.owned:
             if host.down:
-                return False
-            protocol = host.protocol
-            if (protocol.send_buffer or protocol.receive_buffer
-                    or len(protocol.output_buffer)):
-                return False
-        return True
+                host.restart()
 
-    def _start_timers(self) -> None:
-        config = self.config
-        for host in self.hosts:
-            phase = (host.pid + 1) / (config.n + 1)
-            self._periodic(config.flush_interval, phase, host.flush)
-            self._periodic(config.checkpoint_interval, phase, host.checkpoint)
-            self._periodic(config.notify_interval, phase, host.notify)
-            if host.controller is not None:
-                self._periodic(config.control_interval, phase,
-                               host.control_tick)
+    def flush_round(self) -> None:
+        for host in self.owned:
+            host.flush()
 
-    def _periodic(self, interval: float, phase: float, action: Callable[[], None]) -> None:
-        def fire() -> None:
-            action()
-            if self.engine.now + interval <= self._horizon:
-                self.engine.schedule(interval, fire)
+    def notify_round(self) -> None:
+        for host in self.owned:
+            host.notify()
 
-        first = interval * phase
-        if first <= self._horizon:
-            self.engine.schedule(first, fire)
+    def quiescent(self) -> bool:
+        """True when every owned host is idle (with the event queue
+        drained, nothing can move again)."""
+        return all(host.idle() for host in self.owned)
 
     # -- teardown --------------------------------------------------------------
 
@@ -891,7 +956,7 @@ class SimulationHarness:
         pgb_max = 0
         delivered_waits = 0.0
         delivered_count = 0
-        for host in self.hosts:
+        for host in self.owned:
             stats = host.protocol.stats
             m.messages_enqueued += stats.messages_enqueued
             m.messages_released += stats.messages_released
@@ -951,7 +1016,7 @@ class SimulationHarness:
             m.mean_output_latency = 0.0
         m.processes_rolled_back = len({pid for _, pid in self.rollback_events})
         m.max_send_hold = max(
-            (h.protocol.stats.send_hold_time_max for h in self.hosts),
+            (h.protocol.stats.send_hold_time_max for h in self.owned),
             default=0.0,
         )
         m.mean_piggyback_entries = self.network.mean_piggyback_entries()
@@ -988,7 +1053,7 @@ class SimulationHarness:
         if m.slo_target > 0 and samples:
             within = sum(1 for s in samples if s <= m.slo_target)
             m.slo_attained = within / len(samples)
-        controllers = [h.controller for h in self.hosts
+        controllers = [h.controller for h in self.owned
                        if h.controller is not None]
         if controllers:
             m.adaptive_k = True
@@ -998,22 +1063,6 @@ class SimulationHarness:
             final = [float(c.k) for c in controllers]
             m.k_mean = sample_mean(history if history else final)
             m.k_final_mean = sample_mean(final)
-        if self.crash_events and self.rollback_events:
-            # Attribute each rollback to the most recent crash at or before
-            # it: a crash's recovery window closes when the next crash
-            # opens, otherwise every late rollback would inflate the span
-            # of every earlier crash.
-            crash_times = sorted({t for t, _pid in self.crash_events})
-            spans = []
-            for i, crash_time in enumerate(crash_times):
-                window_end = (
-                    crash_times[i + 1] if i + 1 < len(crash_times)
-                    else float("inf")
-                )
-                window = [t for t, _p in self.rollback_events
-                          if crash_time <= t < window_end]
-                if window:
-                    spans.append(max(window) - crash_time)
-            if spans:
-                m.mean_recovery_span = sum(spans) / len(spans)
+        m.mean_recovery_span = mean_recovery_span(self.crash_events,
+                                                  self.rollback_events)
         return m

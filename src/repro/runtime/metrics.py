@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 
 def sample_mean(samples: Sequence[float]) -> float:
@@ -46,6 +46,40 @@ def sample_percentile(samples: Sequence[float], q: float) -> float:
     if lo == hi:
         return ordered[lo]
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
+
+
+def output_latency(now: float, record: Any, wait: float) -> float:
+    """One committed output's latency sample: end-to-end (injection to
+    commit) when the payload carries an open-loop injection stamp ``t0``,
+    the output's buffer residence time ``wait`` otherwise."""
+    payload = getattr(record, "payload", None)
+    if isinstance(payload, dict):
+        t0 = payload.get("t0")
+        if isinstance(t0, (int, float)):
+            return now - float(t0)
+    return wait
+
+
+def mean_recovery_span(crash_events: Iterable[Tuple[float, int]],
+                       rollback_events: Iterable[Tuple[float, int]]) -> float:
+    """Mean time from a crash to the last rollback it caused.
+
+    Each rollback is attributed to the most recent crash at or before it:
+    a crash's recovery window closes when the next crash opens, otherwise
+    every late rollback would inflate the span of every earlier crash.
+    Both arguments are ``(time, pid)`` pairs in any order; crashes without
+    a rollback in their window do not count, and no span at all gives 0.
+    """
+    rollback_times = [t for t, _pid in rollback_events]
+    crash_times = sorted({t for t, _pid in crash_events})
+    spans = []
+    for i, crash_time in enumerate(crash_times):
+        window_end = (crash_times[i + 1] if i + 1 < len(crash_times)
+                      else float("inf"))
+        window = [t for t in rollback_times if crash_time <= t < window_end]
+        if window:
+            spans.append(max(window) - crash_time)
+    return sum(spans) / len(spans) if spans else 0.0
 
 
 @dataclass

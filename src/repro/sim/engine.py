@@ -48,6 +48,10 @@ from typing import Any, Callable, List, Optional, Tuple
 #: order and returns the index of the event to fire next.
 TieBreaker = Callable[[List["EventHandle"]], int]
 
+#: Priority of :meth:`Engine.defer` callbacks: strictly after every
+#: same-time message delivery (priority 0).
+DEFER_PRIORITY = 4
+
 
 class SimulationError(RuntimeError):
     """Raised for invalid scheduling requests (e.g. events in the past)."""
@@ -161,6 +165,18 @@ class Engine:
         self._seq += 1
         self._live += 1
         return handle
+
+    def defer(
+        self,
+        callback: Callable[[], None],
+        label: Optional[str] = None,
+        shard: Optional[int] = None,
+    ) -> EventHandle:
+        """Run ``callback`` at the current time, behind every same-time
+        event of a lower priority (message deliveries use 0): the
+        same-tick drain of a host's batched notifications."""
+        return self.schedule_at(self._now, callback, DEFER_PRIORITY, label,
+                                shard)
 
     def schedule_at_raw(
         self,

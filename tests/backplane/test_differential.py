@@ -5,12 +5,21 @@ same stimulus list, one crash of the same process — runs through (a) the
 discrete-event simulation harness and (b) ``repro serve`` with real OS
 processes, SIGKILL, and TCP.  Both must certify clean against the
 dependency oracle and commit exactly the same output set: every stimulus
-tag, exactly the agreement the shared :class:`EffectExecutor` and the
-at-least-once delivery layer are supposed to provide.
+tag, exactly the agreement the shared
+:class:`~repro.runtime.harness.ProcessHost` and the at-least-once
+delivery layer are supposed to provide.
+
+The same scenario runs a second time with the adaptive-K controller on,
+passed to serve as a plain ``SimConfig`` field through
+``ServePlan.config``: sim and serve run the one shared host, so both must
+still agree, and every serve worker must have run the controller.
 
 The serve half spawns real subprocesses and takes a few seconds of wall
 clock; it is the closest thing the suite has to a deployment test.
 """
+
+import glob
+import os
 
 import pytest
 
@@ -48,8 +57,7 @@ def expected_tags():
     return {s["payload"]["tag"] for s in _stimuli()}
 
 
-@pytest.fixture(scope="module")
-def sim_cert():
+def _sim_cert(**overrides):
     config = SimConfig(
         n=N, k=K, seed=SEED,
         ack_layer=True,
@@ -57,6 +65,7 @@ def sim_cert():
         retransmit_window=64,
         dep_trace=True,
         check_invariants=True,
+        **overrides,
     )
     harness = SimulationHarness(
         config, HopChainBehavior(),
@@ -70,8 +79,7 @@ def sim_cert():
     return certify_tracer(harness.tracer, N, K)
 
 
-@pytest.fixture(scope="module")
-def serve_report(tmp_path_factory):
+def _serve_report(run_dir, **config):
     plan = ServePlan(
         n=N, k=K, seed=SEED,
         behavior="hopchain",
@@ -80,10 +88,21 @@ def serve_report(tmp_path_factory):
         rate=RATE,
         crashes=[(CRASH_TIME, CRASH_PID)],
         restart_delay=RESTART_DELAY,
-        run_dir=str(tmp_path_factory.mktemp("serve-diff")),
+        run_dir=run_dir,
         stimuli=_stimuli(),
+        config=config,
     )
     return run_serve(plan)
+
+
+@pytest.fixture(scope="module")
+def sim_cert():
+    return _sim_cert()
+
+
+@pytest.fixture(scope="module")
+def serve_report(tmp_path_factory):
+    return _serve_report(str(tmp_path_factory.mktemp("serve-diff")))
 
 
 class TestDifferential:
@@ -109,3 +128,38 @@ class TestDifferential:
         # outputs for the same scenario — all of them.
         assert _tags(sim_cert) == _tags(serve_report.certification) \
             == expected_tags
+
+
+@pytest.fixture(scope="module")
+def adaptive_sim_cert():
+    return _sim_cert(adaptive_k=True)
+
+
+@pytest.fixture(scope="module")
+def adaptive_serve_report(tmp_path_factory):
+    return _serve_report(str(tmp_path_factory.mktemp("serve-diff-adaptive")),
+                         adaptive_k=True)
+
+
+class TestAdaptiveKDifferential:
+    """The same scenario with the adaptive-K controller on in both drivers."""
+
+    def test_both_certify_clean(self, adaptive_sim_cert, adaptive_serve_report):
+        assert adaptive_sim_cert.ok, adaptive_sim_cert.violations
+        assert adaptive_serve_report.ok, adaptive_serve_report.violations
+
+    def test_same_full_committed_output_set(self, adaptive_sim_cert,
+                                            adaptive_serve_report,
+                                            expected_tags):
+        assert _tags(adaptive_sim_cert) \
+            == _tags(adaptive_serve_report.certification) == expected_tags
+
+    def test_every_serve_worker_ran_the_controller(self, adaptive_serve_report):
+        paths = sorted(glob.glob(
+            os.path.join(adaptive_serve_report.run_dir, "trace", "*.jsonl")))
+        assert len(paths) == N
+        for path in paths:
+            # Substring match: a SIGKILLed worker may leave a torn line.
+            with open(path, encoding="utf-8") as fh:
+                ticks = sum(1 for line in fh if '"control.k"' in line)
+            assert ticks >= 1, f"{path}: no control.k record"

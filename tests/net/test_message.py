@@ -79,3 +79,52 @@ class TestControlMessages:
     def test_output_record_str(self):
         record = OutputRecord(OutputId(1, 0, 2, 0), 1, "x", Entry(0, 2))
         assert "(0,2)_1" in str(record)
+
+
+class TestWireIdStaysInMemory:
+    """``wire_id`` numbers in-memory transmissions from a process-global
+    counter; it must not leak into journal bytes, or a later run of the
+    same schedule in the same interpreter journals different bytes."""
+
+    def test_pickle_omits_wire_id_and_load_draws_a_fresh_one(self):
+        import pickle
+
+        a, b = msg(), msg()
+        assert a.wire_id != b.wire_id
+        assert pickle.dumps(a) == pickle.dumps(b)
+        loaded = pickle.loads(pickle.dumps(a))
+        assert loaded.msg_id == a.msg_id and loaded.tdv == a.tdv
+        assert loaded.wire_id not in (a.wire_id, b.wire_id)
+
+    def test_file_log_run_is_independent_of_earlier_runs(self, monkeypatch):
+        import dataclasses
+        import itertools
+
+        from repro.failures.injector import CrashEvent, FailureSchedule
+        from repro.net import message
+        from repro.runtime.config import SimConfig
+        from repro.runtime.harness import SimulationHarness
+        from repro.workloads.openloop import OpenLoopWorkload
+
+        def run(first_wire_id):
+            # A long-lived interpreter has numbered many messages before.
+            monkeypatch.setattr(message, "_wire_counter",
+                                itertools.count(first_wire_id))
+            workload = OpenLoopWorkload(rate=2.0, output_fraction=0.5)
+            harness = SimulationHarness(
+                SimConfig(n=4, k=2, seed=3, storage_backend="filelog"),
+                workload.behavior(),
+                failures=FailureSchedule([CrashEvent(15.0, 1)]))
+            try:
+                workload.install(harness, until=30.0)
+                harness.run(40.0)
+                metrics = dataclasses.asdict(harness.metrics())
+            finally:
+                harness.close()
+            del metrics["storage_recovery_wall_s"]  # host time
+            return metrics
+
+        fresh, later = run(0), run(1 << 40)
+        assert fresh["storage_bytes_fsynced"] > 0
+        assert fresh["storage_recoveries"] >= 1
+        assert later == fresh

@@ -5,9 +5,13 @@ import pytest
 
 from repro.core.effects import Effect
 from repro.core.entry import Entry
-from repro.net.message import LoggingRequest
+from repro.net.message import LoggingRequest, LogProgressNotification
 from repro.runtime.config import SimConfig
-from repro.runtime.harness import SimulationHarness
+from repro.runtime.harness import (
+    ProcessHost,
+    SimulationHarness,
+    protocol_factory_for,
+)
 from repro.workloads.random_peers import RandomPeersWorkload
 
 from helpers import build_sim
@@ -98,3 +102,90 @@ class TestInvariantPlumbing:
         before = harness.hosts[0].protocol.current
         harness.hosts[0].restart()
         assert harness.hosts[0].protocol.current == before
+
+
+class _RecordingTransport:
+    def __init__(self):
+        self.sent = []
+
+    def send_app(self, msg):
+        self.sent.append(("app", msg.dst))
+
+    def send_control(self, src, dst, payload, reliable=False):
+        self.sent.append(("ctl", dst, type(payload).__name__))
+
+    def broadcast_control(self, src, payload, include_self=False,
+                          reliable=False):
+        self.sent.append(("bcast", type(payload).__name__))
+
+    def on_process_crash(self, pid):
+        self.sent.append(("crash", pid))
+
+    def on_process_restart(self, pid):
+        self.sent.append(("restart", pid))
+
+
+class TestHostSeam:
+    """A host needs only a Clock and a Transport — no harness."""
+
+    def build(self, **overrides):
+        from repro.app.behavior import EchoBehavior
+        from repro.core.protocol import KOptimisticProcess
+        from repro.sim.engine import Engine
+        from repro.sim.rng import RngRegistry
+        from repro.sim.trace import Tracer
+
+        engine = Engine()
+        config = SimConfig(n=3, seed=1, **overrides)
+        protocol = protocol_factory_for(KOptimisticProcess)(
+            1, config, EchoBehavior(), lambda: engine.now)
+        transport = _RecordingTransport()
+        host = ProcessHost(1, protocol, config, clock=engine,
+                           transport=transport, tracer=Tracer(enabled=True),
+                           rngs=RngRegistry(config.seed))
+        host.execute(protocol.initialize())
+        return engine, host, transport
+
+    def test_timers_and_controller_run_on_the_clock(self):
+        engine, host, transport = self.build(adaptive_k=True, k=2)
+        host.start_timers(horizon=100.0)
+        host.inject({"output": "o1"}, seq=0)
+        engine.run()
+        assert ("bcast", "LogProgressNotification") in transport.sent
+        ticks = [e for e in host.tracer.events if e.category == "control.k"]
+        assert len(ticks) == int(100.0 // host.config.control_interval)
+        assert engine.now <= 100.0
+        assert host.protocol.stats.outputs_committed == 1
+        assert host.idle()
+
+    def test_same_tick_notifications_drain_once(self):
+        from repro.core.tables import LoggingProgressTable
+
+        engine, host, _ = self.build()
+        calls = []
+        original = host.protocol.on_log_notifications
+        host.protocol.on_log_notifications = (
+            lambda batch: calls.append(len(batch)) or original(batch))
+        for origin in (0, 2):
+            table = LoggingProgressTable(3)
+            table.insert(origin, Entry(0, 1))
+            host.incoming(LogProgressNotification(origin, table.snapshot()))
+        assert calls == []  # deferred behind same-tick deliveries
+        engine.run()
+        assert calls == [2]
+
+    def test_storage_death_is_a_fail_stop_crash(self):
+        from repro.storage.faults import StorageDeadError
+
+        engine, host, transport = self.build(restart_delay=5.0)
+
+        def dead():
+            raise StorageDeadError("disk gone")
+
+        host.protocol.flush = dead
+        host.flush()
+        assert host.down and host.storage_deaths == 1
+        assert ("crash", 1) in transport.sent
+        engine.run()
+        assert not host.down
+        assert ("restart", 1) in transport.sent

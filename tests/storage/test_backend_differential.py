@@ -59,8 +59,8 @@ def _apply(backend, operation, records):
             time_taken=0.5,
         )
     elif kind == "append":
-        # Both backends must log the *same* message object: AppMessage
-        # construction assigns a fresh wire_id, which the digest compares.
+        # Both backends log the *same* message object (records are
+        # materialized once per position and shared).
         _, key, sync = operation
         backend.append_log([records[key]], sync=sync)
     elif kind == "announce":
