@@ -72,7 +72,7 @@ from repro.core.effects import (
     StableProgress,
 )
 from repro.core.entry import Entry
-from repro.core.output import OutputBuffer
+from repro.core.output import OutputBuffer, ReleaseScan
 from repro.core.tables import IncarnationEndTable, LoggingProgressTable
 from repro.net.message import (
     AppAck,
@@ -227,11 +227,11 @@ class KOptimisticProcess:
         self._receive_times: Dict[int, float] = {}
         self.stats = ProtocolStats()
 
-        # Scan-skip state: send-buffer release checks and Theorem-2
-        # nullification only change their answer when the log table, the
-        # local vector, or the buffered set changed since the last pass.
-        self._sb_dirty = True
-        self._sb_log_version = -1
+        # Scan-skip state.  Check_send_buffer re-examines only messages
+        # enqueued since its last pass unless the log table changed (see
+        # ReleaseScan); Theorem-2 nullification of the local vector only
+        # changes its answer when the log table or the vector changed.
+        self._send_scan = ReleaseScan()
         self._nul_versions: Optional[Tuple[int, int]] = None
 
     # ------------------------------------------------------------------
@@ -887,7 +887,6 @@ class KOptimisticProcess:
             k_limit=k_limit,
         )
         self.send_buffer.append(msg)
-        self._sb_dirty = True
         self._send_enqueue_times[msg.wire_id] = self.now_fn()
         self.stats.messages_enqueued += 1
 
@@ -895,55 +894,35 @@ class KOptimisticProcess:
         """Check_send_buffer: nullify stable entries, release every message
         whose dependency vector has at most K non-NULL entries.
 
-        Releasability depends only on the log table and the buffered
-        vectors (which nothing else mutates), so when neither has changed
-        since the last pass the whole rescan is skipped.
+        Incremental (:class:`ReleaseScan`): while the log table is
+        unchanged since the last pass, only newly enqueued messages are
+        examined.
         """
-        if not self.send_buffer:
-            return []
-        if not self._sb_dirty and self._sb_log_version == self.log.version:
+        released, self.send_buffer = self._send_scan.run(
+            self.send_buffer, self.log, self.k)
+        if not released:
             return []
         effects: List[Effect] = []
-        log = self.log
-        for msg in self.send_buffer:
-            tdv = msg.tdv
-            if isinstance(tdv, DependencyVector):
-                stable = [pid for pid, packed in tdv.iter_packed()
-                          if log.covers_packed(pid, packed)]
-                for pid in stable:
-                    tdv.nullify(pid)
-            else:
-                for pid, entry in list(tdv.iter_items()):
-                    if log.covers(pid, entry):
-                        tdv.nullify(pid)
-        still_held: List[AppMessage] = []
         now = self.now_fn()
-        for msg in self.send_buffer:
-            limit = self.k if msg.k_limit is None else msg.k_limit
-            if msg.tdv.non_null_count() <= limit:
-                enqueued = self._send_enqueue_times.pop(msg.wire_id, now)
-                hold = now - enqueued
-                self.stats.send_hold_time_total += hold
-                if hold > self.stats.send_hold_time_max:
-                    self.stats.send_hold_time_max = hold
-                self.stats.messages_released += 1
-                if self.retransmit_window > 0:
-                    copies = self._sent_log.setdefault(msg.dst, [])
-                    copies.append(msg)
-                    del copies[: -self.retransmit_window]
-                effects.append(ReleaseMessage(msg))
-                if self.retransmit_timeout > 0:
-                    self._unacked[msg.msg_id] = _PendingSend(
-                        msg, self.retransmit_timeout * self.retransmit_backoff
-                    )
-                    effects.append(
-                        ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)
-                    )
-            else:
-                still_held.append(msg)
-        self.send_buffer = still_held
-        self._sb_dirty = False
-        self._sb_log_version = self.log.version
+        stats = self.stats
+        for msg in released:
+            hold = now - self._send_enqueue_times.pop(msg.wire_id, now)
+            stats.send_hold_time_total += hold
+            if hold > stats.send_hold_time_max:
+                stats.send_hold_time_max = hold
+            stats.messages_released += 1
+            if self.retransmit_window > 0:
+                copies = self._sent_log.setdefault(msg.dst, [])
+                copies.append(msg)
+                del copies[: -self.retransmit_window]
+            effects.append(ReleaseMessage(msg))
+            if self.retransmit_timeout > 0:
+                self._unacked[msg.msg_id] = _PendingSend(
+                    msg, self.retransmit_timeout * self.retransmit_backoff
+                )
+                effects.append(
+                    ScheduleRetransmit(msg.msg_id, self.retransmit_timeout)
+                )
         return effects
 
     # ------------------------------------------------------------------
@@ -1066,6 +1045,7 @@ class KOptimisticProcess:
                 else:
                     kept.append(msg)
             setattr(self, buffer_name, kept)
+        self._send_scan.reset()
         for msg_id in [mid for mid, pending in self._unacked.items()
                        if self._is_orphan_message(pending.msg)]:
             del self._unacked[msg_id]  # retransmitting an orphan is pointless
@@ -1092,10 +1072,8 @@ class KOptimisticProcess:
         tdv = self.tdv
         log = self.log
         if isinstance(tdv, DependencyVector):
-            own = self.pid  # own entry is managed by Checkpoint/flush
-            stable = [pid for pid, packed in tdv.iter_packed()
-                      if pid != own and log.covers_packed(pid, packed)]
-            for pid in stable:
+            # The own entry is managed by Checkpoint/flush.
+            for pid in log.covered_pids(tdv, skip=self.pid):
                 tdv.nullify(pid)
         else:
             for pid, entry in list(tdv.iter_items()):
@@ -1145,8 +1123,7 @@ class KOptimisticProcess:
         """Recovery replaces the vector and/or tables wholesale; new
         objects restart their version counters, so drop the scan-skip
         state rather than risk a stale match."""
-        self._sb_dirty = True
-        self._sb_log_version = -1
+        self._send_scan.reset()
         self._nul_versions = None
 
     def _require_running(self) -> None:

@@ -590,6 +590,45 @@ class LoggingProgressTable(EntrySetTable):
         value = self._cols[pid * self._stride + inc]
         return value >= (packed & PACK_MASK)
 
+    def covered_pids(self, vec, skip: int = -1) -> List[ProcessId]:
+        """The pids (in pid order, ``skip`` left out) whose entry in the
+        :class:`~repro.core.depvec.DependencyVector` ``vec`` is known
+        stable — :meth:`covers_packed` over a whole vector in one loop.
+
+        Every stability scan (Check_send_buffer, output commit, Theorem 2
+        nullification) asks this once per vector, so the layout dispatch
+        happens once per vector instead of once per entry.
+        """
+        covered: List[ProcessId] = []
+        rows = self._rows
+        if rows is not None:
+            for pid, packed in vec.iter_packed():
+                row = rows.get(pid)
+                if (row is not None
+                        and row.get(packed >> PACK_SHIFT, -1) >= (packed & PACK_MASK)
+                        and pid != skip):
+                    covered.append(pid)
+            return covered
+        stride = self._stride
+        if self._use_np:
+            # ``item`` reads a slot as a plain int, which compares faster
+            # than the numpy scalar that subscripting returns.
+            value_at = self._cols.item
+            for pid, packed in vec.iter_packed():
+                inc = packed >> PACK_SHIFT
+                if (inc < stride
+                        and value_at(pid * stride + inc) >= (packed & PACK_MASK)
+                        and pid != skip):
+                    covered.append(pid)
+            return covered
+        cols = self._cols
+        for pid, packed in vec.iter_packed():
+            inc = packed >> PACK_SHIFT
+            if (inc < stride and cols[pid * stride + inc] >= (packed & PACK_MASK)
+                    and pid != skip):
+                covered.append(pid)
+        return covered
+
 
 class IncarnationEndTable(EntrySetTable):
     """The ``iet`` table: per (process, incarnation) ending index.

@@ -27,8 +27,10 @@ class TokenBehavior(AppBehavior):
         state["work"] = (state["work"] * 31 + payload.get("token", 0)) % 1_000_003
         hops = payload.get("hops", 0)
         if hops > 0:
-            peers = [p for p in range(ctx.n) if p != ctx.pid]
-            dst = peers[ctx.rng.randrange(len(peers))]
+            # A uniform peer other than ourselves: draw from the n - 1
+            # peers and skip over our own pid.
+            r = ctx.rng.randrange(ctx.n - 1)
+            dst = r + (r >= ctx.pid)
             ctx.send(dst, {
                 "token": payload.get("token", 0),
                 "hops": hops - 1,

@@ -1,7 +1,11 @@
 """Unit tests for the PWD application model."""
 
+import random
+from types import SimpleNamespace
+
 import pytest
 
+from repro.app import behavior as behavior_module
 from repro.app.behavior import AppBehavior, AppContext, EchoBehavior
 
 
@@ -45,6 +49,37 @@ class TestAppContext:
         a = AppContext(0, 4, 1, 7, seed=42)
         b = AppContext(0, 4, 2, 7, seed=42)
         assert a.rng.random() != b.rng.random()
+
+    def test_rng_stream_is_seeded_by_interval_identity(self):
+        ctx = AppContext(3, 8, 1, 7, seed=42)
+        expected = random.Random("42/3/1/7")
+        assert [ctx.rng.random() for _ in range(4)] == \
+            [expected.random() for _ in range(4)]
+
+    def test_rng_built_lazily_once(self, monkeypatch):
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, seed):
+                built.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(behavior_module, "random",
+                            SimpleNamespace(Random=CountingRandom))
+        # A handler that never draws (the last hop of a chain) pays for
+        # no generator at all.
+        quiet = AppContext(0, 4, 0, 2, seed=5)
+        EchoBehavior().on_message(EchoBehavior().initial_state(0, 4),
+                                  {"output": "o"}, quiet)
+        assert built == []
+        # Drawing builds one generator and keeps it, so a replayed
+        # interval draws the same numbers as the original execution.
+        first = AppContext(0, 4, 1, 9, seed=5)
+        draws = [first.rng.random(), first.rng.random()]
+        assert built == ["5/0/1/9"]
+        replay = AppContext(0, 4, 1, 9, seed=5)
+        assert [replay.rng.random(), replay.rng.random()] == draws
+        assert built == ["5/0/1/9", "5/0/1/9"]
 
     def test_sends_returns_copy(self):
         ctx = AppContext(0, 4, 0, 2, seed=0)

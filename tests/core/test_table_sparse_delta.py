@@ -15,6 +15,7 @@ Three families:
 import pytest
 
 from repro.core import columnar
+from repro.core.depvec import DependencyVector
 from repro.core.entry import Entry
 from repro.core.tables import (
     EntrySetTable,
@@ -90,6 +91,11 @@ def test_sparse_backend_matches_dense_logging_table():
                 packed = columnar.pack(inc, sii)
                 assert (sparse.covers_packed(pid, packed)
                         == dense.covers_packed(pid, packed))
+    for sii in (0, 1, 4, 9, 12):
+        vec = DependencyVector(8, {pid: Entry(pid % 4, sii) for pid in range(8)})
+        for skip in (-1, 1):
+            assert (sparse.covered_pids(vec, skip=skip)
+                    == dense.covered_pids(vec, skip=skip))
 
 
 def test_sparse_backend_matches_dense_iet():

@@ -241,6 +241,12 @@ class TestTableEquivalence:
             expected = ref.covers(pid, entry)
             assert col.covers(pid, entry) == expected
             assert col.covers_packed(pid, pack(entry.inc, entry.sii)) == expected
+        # The whole-vector query agrees with the per-entry reference.
+        vec = data.draw(st.dictionaries(pids(n), entries, max_size=8))
+        skip = data.draw(st.sampled_from([-1, *vec]))
+        assert col.covered_pids(DependencyVector(n, vec), skip=skip) == [
+            pid for pid in sorted(vec)
+            if pid != skip and ref.covers(pid, vec[pid])]
 
     @pytest.mark.parametrize("n", SIZES)
     @given(data=st.data())

@@ -1,4 +1,4 @@
-"""Test-only ground truth: the pre-columnar implementations.
+"""Test-only ground truth: the pre-columnar and full-rescan implementations.
 
 :class:`ReferenceDependencyVector` is the dict-of-Entry dependency vector
 and the ``Reference*Table`` classes are the dict-of-dicts bookkeeping
@@ -7,14 +7,25 @@ with flat integer columns.  The protocol never uses them; the differential
 property suite (``tests/properties/test_columnar_equivalence.py``) drives
 both implementations through the same random operation sequences and
 compares their observable state through ``as_dict()``/``snapshot()``.
+
+:class:`ReferenceKOptimisticProcess` is the protocol with its stability
+scans written the obvious way: every Check_send_buffer, output-buffer
+update and Theorem 2 nullification re-examines every buffered vector entry
+by entry, with no skip state.  ``tests/properties/test_incremental_release.py``
+drives it beside :class:`~repro.core.protocol.KOptimisticProcess`, whose
+scans are incremental (:class:`~repro.core.output.ReleaseScan`), and
+asserts identical effects, buffers and vectors.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from repro.core.effects import Effect, ReleaseMessage, ScheduleRetransmit
 from repro.core.entry import Entry, OptEntry
-from repro.core.tables import SparseSnapshot, TableSnapshot
+from repro.core.output import OutputBuffer, PendingOutput
+from repro.core.protocol import KOptimisticProcess, _PendingSend
+from repro.core.tables import LoggingProgressTable, SparseSnapshot, TableSnapshot
 from repro.types import IncarnationId, IntervalIndex, ProcessId
 
 
@@ -215,3 +226,65 @@ class ReferenceIncarnationEndTable(ReferenceEntrySetTable):
         for pid in range(self.n):
             for entry in self.entries(pid):
                 yield pid, entry
+
+
+def _nullify_covered(tdv, log: LoggingProgressTable, skip: int = -1) -> None:
+    """Drop, entry by entry, every dependency the log table covers."""
+    for pid, entry in list(tdv.iter_items()):
+        if pid != skip and log.covers(pid, entry):
+            tdv.nullify_entry(pid, entry)
+
+
+class ReferenceOutputBuffer(OutputBuffer):
+    """The full-rescan Output_buffer: every update re-examines every
+    pending output."""
+
+    def update(self, log: LoggingProgressTable) -> List[PendingOutput]:
+        for pending in self._pending:
+            _nullify_covered(pending.tdv, log)
+        ready = [p for p in self._pending if p.tdv.non_null_count() == 0]
+        if ready:
+            self._pending = [p for p in self._pending
+                             if p.tdv.non_null_count() > 0]
+        return ready
+
+
+class ReferenceKOptimisticProcess(KOptimisticProcess):
+    """The protocol with full-rescan Check_send_buffer, output commit and
+    Theorem 2 nullification."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.output_buffer = ReferenceOutputBuffer()
+
+    def _nullify_stable_tdv_entries(self) -> None:
+        _nullify_covered(self.tdv, self.log, skip=self.pid)
+
+    def _check_send_buffer(self) -> List[Effect]:
+        for msg in self.send_buffer:
+            _nullify_covered(msg.tdv, self.log)
+        effects: List[Effect] = []
+        still_held = []
+        now = self.now_fn()
+        for msg in self.send_buffer:
+            limit = self.k if msg.k_limit is None else msg.k_limit
+            if msg.tdv.non_null_count() > limit:
+                still_held.append(msg)
+                continue
+            hold = now - self._send_enqueue_times.pop(msg.wire_id, now)
+            self.stats.send_hold_time_total += hold
+            if hold > self.stats.send_hold_time_max:
+                self.stats.send_hold_time_max = hold
+            self.stats.messages_released += 1
+            if self.retransmit_window > 0:
+                copies = self._sent_log.setdefault(msg.dst, [])
+                copies.append(msg)
+                del copies[: -self.retransmit_window]
+            effects.append(ReleaseMessage(msg))
+            if self.retransmit_timeout > 0:
+                self._unacked[msg.msg_id] = _PendingSend(
+                    msg, self.retransmit_timeout * self.retransmit_backoff)
+                effects.append(
+                    ScheduleRetransmit(msg.msg_id, self.retransmit_timeout))
+        self.send_buffer = still_held
+        return effects

@@ -5,6 +5,7 @@ import pytest
 from repro.app.behavior import AppContext
 from repro.workloads.base import Workload, poisson_times
 from repro.workloads.client_server import SERVER, ClientServerBehavior, ClientServerWorkload
+from repro.workloads.openloop import OpenLoopBehavior
 from repro.workloads.pipeline import PipelineBehavior, PipelineWorkload
 from repro.workloads.random_peers import RandomPeersWorkload, TokenBehavior
 from repro.workloads.telecom import SwitchBehavior, TelecomWorkload
@@ -73,6 +74,31 @@ class TestTokenBehavior:
             RandomPeersWorkload(min_hops=5, max_hops=2)
         with pytest.raises(ValueError):
             RandomPeersWorkload(output_fraction=1.5)
+
+
+class TestPeerChoice:
+    """Both forwarding behaviours pick a peer as ``r + (r >= pid)`` from
+    one ``randrange(n - 1)`` draw, the same draw and the same peer as
+    indexing the list of the other n - 1 processes."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_matches_peer_list_indexing(self, n):
+        for pid in range(n):
+            peers = [p for p in range(n) if p != pid]
+            for r in range(n - 1):
+                assert r + (r >= pid) == peers[r]
+
+    @pytest.mark.parametrize("behavior", [TokenBehavior(), OpenLoopBehavior()])
+    def test_behaviour_draws_the_listed_peer(self, behavior):
+        n = 6
+        for pid in range(n):
+            for sii in range(2, 12):
+                c = AppContext(pid, n, 0, sii, seed=3)
+                behavior.on_message(behavior.initial_state(pid, n),
+                                    {"token": 1, "hops": 1}, c)
+                peers = [p for p in range(n) if p != pid]
+                expected = peers[random.Random(f"3/{pid}/0/{sii}").randrange(n - 1)]
+                assert c.sends[0][0] == expected
 
 
 class TestClientServerBehavior:
